@@ -18,7 +18,8 @@ counts, zone states) before timing is trusted. Results land in
 falls below ``max(speedup_floor, speedup_reference * (1 - tolerance))``
 from ``benchmarks/baseline.json`` -- i.e. a >20% throughput regression
 against the committed reference, or dropping under the absolute floor
-the PR promises.
+the PR promises. The file also records its provenance: commit, Python
+and numpy versions, and CPU count.
 
 The scenarios are pure CPU with fixed seeds; speedup ratios (not raw
 ops/sec) carry across machines, which is what the gate keys on.
@@ -28,7 +29,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -45,7 +49,6 @@ from repro.flash.geometry import FlashGeometry  # noqa: E402
 from repro.flash.ops import FlashOp, OpKind  # noqa: E402
 from repro.fleet import FleetSpec, fleet_summary, simulate_fleet  # noqa: E402
 from repro.ftl.ftl import ConventionalFTL, FTLConfig, GCStuckError  # noqa: E402
-import repro.obs.frame as obs_frame  # noqa: E402
 from repro.obs.events import GcEvent  # noqa: E402
 from repro.obs.tracer import Tracer  # noqa: E402
 from repro.sim.engine import Engine, Timeout  # noqa: E402
@@ -197,6 +200,34 @@ def _timed(fn, repeats: int = 1):
 
 def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _provenance() -> dict:
+    """Where a result file came from: commit, interpreter, numpy, CPUs.
+
+    ``commit`` is ``None`` outside a git checkout; ``dirty`` says whether
+    tracked files differed from that commit when the run started.
+    """
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> str | None:
+        try:
+            out = subprocess.run(
+                ["git", *args], cwd=root, capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if commit else None
+    return {
+        "commit": commit,
+        "dirty": bool(status) if status is not None else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _wa_workload(ftl_cls, op_ratio: float, multiple: float, seed: int, batched: bool) -> dict:
@@ -509,7 +540,9 @@ def scenario_fleet_serving(repeats: int = 2) -> dict:
     No legacy reference exists for the fleet layer, so this scenario is
     throughput-tracked rather than speedup-gated; the physics check is
     the redesign's invariant itself -- the 4-shard merge must reproduce
-    the serial frame byte-for-byte before either timing is trusted.
+    the serial frame byte-for-byte before either timing is trusted. Both
+    legs run in one process, so the sharded wall time is merge cost, not
+    parallel speedup.
     """
     spec = _fleet_bench_spec()
     serial, serial_s = _timed(lambda: simulate_fleet(spec, shards=1), repeats)
@@ -522,7 +555,7 @@ def scenario_fleet_serving(repeats: int = 2) -> dict:
         "ops": requests,
         "unit": "host requests served",
         "wall_s": round(serial_s, 4),
-        "wall_s_sharded": round(sharded_s, 4),
+        "wall_s_sharded_inprocess": round(sharded_s, 4),
         "ops_per_sec": round(requests / serial_s, 1),
         "devices": spec.num_devices,
         "tenants": spec.tenants,
@@ -534,19 +567,14 @@ def scenario_fleet_serving(repeats: int = 2) -> dict:
 def scenario_fleet_rack64(repeats: int = 1) -> dict:
     """A rack of 64 devices (32 conventional + 32 ZNS) under bursty load.
 
-    The fleet-scale stress the epoch-compiled serving loop exists for:
-    bursty arrivals (128-event bursts, 16 reads per tenant-tick)
-    batched into per-device epochs, 64-wide. The reference leg is the
-    per-request dispatch loop PR 7
-    shipped, run with the metric-key cache (an epoch-PR optimization)
-    bypassed -- the same re-create-the-shipped-code rule the LegacyFTL
-    shim follows -- so the speedup is the epoch path against what the
-    repo actually ran before, on an identical fixed-seed workload.
-    Physics checks before timing is trusted: both legs must serve the
-    same requests with the same fleet WA (epoch mode's documented
-    liberty is GC interleave within a tick, never what gets served),
-    and the 8-shard epoch merge must reproduce the serial epoch frame
-    byte-for-byte.
+    The fleet-scale stress on the per-request serving loop that E16 and
+    E17 run: bursty arrivals (128-event bursts, 16 reads per
+    tenant-tick) across 64 devices. Like ``fleet_serving`` it has no
+    legacy reference, so it is throughput-tracked rather than
+    speedup-gated; the physics check is the sharding invariant -- the
+    8-shard merge must reproduce the serial frame byte-for-byte before
+    either timing is trusted. Both legs run in one process, so the
+    sharded wall time is merge cost, not parallel speedup.
     """
     flash = (("blocks_per_plane", 8),)
     conv = DeviceSpec(
@@ -570,45 +598,18 @@ def scenario_fleet_rack64(repeats: int = 1) -> dict:
         burst_start_prob=0.15,
         reads_per_tick=16,
     )
-    cached_key = obs_frame.normalize_metric_key
-    obs_frame.normalize_metric_key = cached_key.__wrapped__
-    try:
-        legacy, legacy_s = _timed(lambda: simulate_fleet(spec, shards=1), repeats)
-    finally:
-        obs_frame.normalize_metric_key = cached_key
-    serial, serial_s = _timed(
-        lambda: simulate_fleet(spec, shards=1, epoch=True), repeats + 1
-    )
-    sharded, sharded_s = _timed(
-        lambda: simulate_fleet(spec, shards=8, epoch=True), repeats
-    )
+    serial, serial_s = _timed(lambda: simulate_fleet(spec), repeats)
+    sharded, sharded_s = _timed(lambda: simulate_fleet(spec, shards=8), repeats)
     if sharded.to_dict() != serial.to_dict():
         raise AssertionError("fleet_rack64: 8-shard merge diverges from serial frame")
-    legacy_summary = fleet_summary(legacy)
     summary = fleet_summary(serial)
-    for field_name in ("reads", "writes", "reads_lost", "devices_failed"):
-        if legacy_summary[field_name] != summary[field_name]:
-            raise AssertionError(
-                f"fleet_rack64: legacy/epoch diverge on {field_name}: "
-                f"{legacy_summary[field_name]} != {summary[field_name]}"
-            )
-    # Epoch GC interleave may move fleet WA by one rounding step (0.01),
-    # never more -- a real physics divergence shows up as a bigger gap.
-    if abs(legacy_summary["fleet_wa"] - summary["fleet_wa"]) > 0.015:
-        raise AssertionError(
-            f"fleet_rack64: legacy/epoch fleet WA diverges: "
-            f"{legacy_summary['fleet_wa']} != {summary['fleet_wa']}"
-        )
     requests = summary["reads"] + summary["writes"]
     return {
         "ops": requests,
         "unit": "host requests served",
         "wall_s": round(serial_s, 4),
-        "wall_s_reference": round(legacy_s, 4),
-        "wall_s_sharded": round(sharded_s, 4),
+        "wall_s_sharded_inprocess": round(sharded_s, 4),
         "ops_per_sec": round(requests / serial_s, 1),
-        "ops_per_sec_reference": round(requests / legacy_s, 1),
-        "speedup": round(legacy_s / serial_s, 2),
         "devices": spec.num_devices,
         "tenants": spec.tenants,
         "fleet_wa": summary["fleet_wa"],
@@ -919,6 +920,7 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown scenario(s): {', '.join(unknown)}")
 
+    provenance = _provenance()
     results: dict[str, dict] = {}
     for name in names:
         print(f"[bench] {name} ...", file=sys.stderr, flush=True)
@@ -932,7 +934,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"[bench] {name}: {summary}", file=sys.stderr, flush=True)
 
-    payload: dict = {"schema": 1, "results": results}
+    payload: dict = {"schema": 1, "provenance": provenance, "results": results}
     exit_code = 0
     if not args.no_gate:
         baseline_path = Path(args.baseline)

@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     MODULES,
     UnknownExperimentError,
     resolve_id,
-    run_experiment,
+    run_config,
 )
 
 _DESCRIPTIONS = {
@@ -306,7 +306,7 @@ def _cmd_chart(args) -> int:
     from repro.experiments.figures import render_figure
 
     try:
-        result = run_experiment(args.experiment, quick=not args.full, seed=args.seed)
+        result = run_config(ExperimentConfig(args.experiment, full=args.full, seed=args.seed))
         print(f"{result.experiment_id}: {result.title}")
         print(render_figure(result))
     except (UnknownExperimentError, KeyError) as exc:

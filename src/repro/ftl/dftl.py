@@ -32,16 +32,11 @@ With a CMT budget at or above the full map size nothing ever misses or
 evicts, no translation page is ever programmed, and the device is
 physics-identical to a :class:`ConventionalFTL` with the same config --
 the property the parity test suite pins.
-
-:class:`MappingCache` / :class:`MappingCacheStats` remain as the old
-accounting-only model (used by legacy tests and kept one release for
-back-compat); new code should read :attr:`DemandPagedFTL.store`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -71,72 +66,6 @@ def tvpn_from_oob(tag: int) -> int:
     return _TRANS_OOB_BASE - tag
 
 
-@dataclass
-class MappingCacheStats:
-    lookups: int = 0
-    hits: int = 0
-    miss_reads: int = 0  # translation-page fetches from flash
-    dirty_evict_writes: int = 0  # translation-page writebacks
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction; 0.0 before any lookup (no traffic means no hits,
-        and callers averaging hit rates must not credit idle caches)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class MappingCache:
-    """LRU cache of translation pages with dirty-writeback accounting.
-
-    The legacy accounting-only model: it *counts* the flash ops a DFTL
-    would issue without issuing them. Superseded by
-    :class:`~repro.ftl.mapping.TranslationStore`, which this class
-    mirrors in structure; kept for callers that only need the counts.
-    """
-
-    def __init__(self, entries_per_translation_page: int = 1024, capacity_pages: int = 8):
-        if entries_per_translation_page < 1 or capacity_pages < 1:
-            raise ValueError("invalid mapping-cache configuration")
-        self.entries_per_page = entries_per_translation_page
-        self.capacity_pages = capacity_pages
-        self.stats = MappingCacheStats()
-        # translation page id -> dirty flag, in LRU order (oldest first).
-        self._cached: OrderedDict[int, bool] = OrderedDict()
-
-    def _translation_page_of(self, lpn: int) -> int:
-        return lpn // self.entries_per_page
-
-    def access(self, lpn: int, dirty: bool) -> tuple[int, int]:
-        """Account one translation lookup; returns (extra_reads, extra_writes).
-
-        ``dirty`` marks accesses that modify the mapping (host writes,
-        trims): their translation page must eventually be written back.
-        """
-        self.stats.lookups += 1
-        tpage = self._translation_page_of(lpn)
-        if tpage in self._cached:
-            self.stats.hits += 1
-            self._cached.move_to_end(tpage)
-            if dirty:
-                self._cached[tpage] = True
-            return 0, 0
-        extra_reads = 1  # fetch the translation page from flash
-        self.stats.miss_reads += 1
-        extra_writes = 0
-        if len(self._cached) >= self.capacity_pages:
-            _evicted, was_dirty = self._cached.popitem(last=False)
-            if was_dirty:
-                extra_writes = 1
-                self.stats.dirty_evict_writes += 1
-        self._cached[tpage] = dirty
-        return extra_reads, extra_writes
-
-    @property
-    def dram_bytes(self) -> int:
-        """Controller memory the cache occupies (entries x 4 bytes)."""
-        return self.capacity_pages * self.entries_per_page * 4
-
-
 class DemandPagedFTL(ConventionalFTL):
     """A conventional FTL whose page map is demand-paged from flash.
 
@@ -144,9 +73,9 @@ class DemandPagedFTL(ConventionalFTL):
     ----------
     cmt_bytes:
         DRAM budget for the Cached Mapping Table. Defaults to 8
-        translation pages' worth (32 KiB on 4 KiB pages), matching the
-        old accounting model's default. A budget covering the full map
-        makes the device physics-identical to :class:`ConventionalFTL`.
+        translation pages' worth (32 KiB on 4 KiB pages). A budget
+        covering the full map makes the device physics-identical to
+        :class:`ConventionalFTL`.
 
     Translation pages are programmed into dedicated *translation
     blocks* allocated from the shared free pool; their footprint is
@@ -670,8 +599,6 @@ class DemandPagedFTL(ConventionalFTL):
 
 __all__ = [
     "DemandPagedFTL",
-    "MappingCache",
-    "MappingCacheStats",
     "oob_tag_for_tvpn",
     "tvpn_from_oob",
 ]

@@ -425,8 +425,8 @@ class ConventionalFTL:
     ) -> np.ndarray:
         """Batched writes returning each page's queue occupancy in us.
 
-        The epoch serving loop's twin of timing ``self.write(lpn)`` per
-        page: identical physics to :meth:`write_pages` (same mapping
+        The batched twin of timing ``self.write(lpn)`` per page:
+        identical physics to :meth:`write_pages` (same mapping
         table, GC victim sequence, seal times, counters, clock), plus a
         per-page service-time array. Each page pays the host program
         (channel time); a page that opens a new active block additionally

@@ -170,40 +170,18 @@ class FullPageMap:
         block = int(ppns[0]) // ppb
         # Last occurrence of each lpn wins; earlier in-batch occurrences
         # map-then-invalidate entirely inside ``block`` (net zero on its
-        # valid count), so only survivors touch the maps. The applier is
-        # the numba epoch kernel when available, else the same numpy
-        # program as before.
+        # valid count), so only survivors touch the maps.
         self.mapped_pages += compiled.map_batch_apply(
             self.l2p, self.p2l, self.valid_counts, lpns, ppns, block, ppb
         )
 
-    def relocate_batch(self, ppns_from: np.ndarray, ppns_to: np.ndarray) -> None:
-        """Move valid bindings in bulk (GC copy-forward), as :meth:`relocate`.
-
-        All ``ppns_from`` must be valid and distinct; ``ppns_to`` must be
-        unmapped, freshly-programmed pages within one erasure block.
-        """
-        n = len(ppns_from)
-        if n == 0:
-            return
-        ppb = self.geometry.pages_per_block
-        lpns = self.p2l[ppns_from]
-        if lpns.size and lpns.min() == UNMAPPED:
-            raise ValueError("relocate_batch of invalid physical page")
-        self.p2l[ppns_from] = UNMAPPED
-        np.subtract.at(self.valid_counts, ppns_from // ppb, 1)
-        self.l2p[lpns] = ppns_to
-        self.p2l[ppns_to] = lpns
-        self.valid_counts[int(ppns_to[0]) // ppb] += n
-
     def relocate_run(self, ppns_from: np.ndarray, dst_first: int) -> None:
-        """GC compaction applier: :meth:`relocate_batch` for one victim block.
+        """GC compaction: :meth:`relocate` for each page of one victim block.
 
         All ``ppns_from`` must be valid, distinct pages of a single
         erasure block; destinations are the contiguous freshly-programmed
-        run starting at ``dst_first``. This is the epoch fast path the
-        collector uses -- O(run) with no per-destination address
-        arithmetic, dispatched through :mod:`repro.sim.compiled`.
+        run starting at ``dst_first``. O(run) with no per-destination
+        address arithmetic, applied by :mod:`repro.sim.compiled`.
         """
         n = len(ppns_from)
         if n == 0:
@@ -222,12 +200,6 @@ class FullPageMap:
     def dram_bytes(self, bytes_per_entry: int = 4) -> int:
         """On-board DRAM the forward map would occupy (paper §2.2)."""
         return self.logical_pages * bytes_per_entry
-
-
-#: Back-compat alias: the class was named ``PageMap`` before the
-#: demand-paged model split mapping into full-map and translation-store
-#: residency. Existing imports keep working.
-PageMap = FullPageMap
 
 
 @dataclass
@@ -516,7 +488,6 @@ class TranslationStore:
 
 __all__ = [
     "FullPageMap",
-    "PageMap",
     "TranslationStats",
     "TranslationStore",
     "UNMAPPED",

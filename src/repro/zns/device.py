@@ -613,9 +613,9 @@ class ZNSDevice:
         Equivalent to ``[self.read(z, o)[1].latency_us for z, o in reads]``
         -- same readability checks, disturb accounting, and counter totals
         (one count=n command event over one aggregate NAND sense) -- for
-        epoch serving loops that neither need payloads back nor replay
-        per-page ops. Requires no armed fault injector: the ECC retry
-        ladder's latency adders are per-page.
+        callers that neither need payloads back nor replay per-page ops.
+        Requires no armed fault injector: the ECC retry ladder's latency
+        adders are per-page.
         """
         if self.faults is not None:
             raise ValueError("read_batch requires no armed fault injector")
@@ -657,8 +657,8 @@ class ZNSDevice:
         dst = self.zone(dst_zone_id)
         dst.check_writable(len(sources))
         # Validate every source before touching flash so a bad source list
-        # fails atomically, exactly like the batch twin: no destination
-        # page is programmed for a command that raises.
+        # fails atomically: no destination page is programmed for a
+        # command that raises.
         for src_zone_id, src_offset in sources:
             self.zone(src_zone_id).check_readable(src_offset)
         self._ensure_open_for_write(dst)
@@ -704,7 +704,7 @@ class ZNSDevice:
 
     # -- Batched data commands ------------------------------------------------------
     #
-    # The batch twins of write/append/simple_copy: same zone state machine,
+    # The batch twins of write/append: same zone state machine,
     # same command-level events and counter totals, but the flash work goes
     # through the NAND batch entry points (one aggregate flash event per
     # command) and no per-page FlashOp records are built. Callers that
@@ -901,70 +901,6 @@ class ZNSDevice:
                 n_active -= 1
             assigned[s:e] = wp + np.cumsum(run) - run
         return assigned
-
-    def simple_copy_batch(
-        self, sources: list[tuple[int, int]] | np.ndarray, dst_zone_id: int
-    ) -> int:
-        """Batched NVMe simple copy; returns the destination start offset.
-
-        ``sources`` is a sequence (or ``(n, 2)`` array) of (zone, offset)
-        pages, copied in order to the destination write pointer.
-        """
-        src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
-        n = len(src)
-        if n == 0:
-            raise ValueError("simple_copy requires at least one source")
-        if self.faults is not None:
-            self._poll_faults()
-        dst = self.zone(dst_zone_id)
-        dst.check_writable(n)
-        # Validate every source before opening the destination, matching
-        # the scalar command: a command that raises leaves all zone state
-        # (including the destination's implicit-open) untouched.
-        src_pages = np.empty(n, dtype=np.int64)
-        for zone_id in np.unique(src[:, 0]).tolist():
-            src_zone = self.zone(int(zone_id))
-            mask = src[:, 0] == zone_id
-            offsets = src[mask, 1]
-            if (
-                src_zone.state is ZoneState.OFFLINE
-                or int(offsets.min()) < 0
-                or int(offsets.max()) >= src_zone.wp
-            ):
-                for off in offsets.tolist():
-                    src_zone.check_readable(int(off))
-            src_pages[mask] = self._pages_of(int(zone_id), offsets)
-        pre_open_state = dst.state
-        self._ensure_open_for_write(dst)
-        start = dst.wp
-        dst_pages = self._pages_of(
-            dst_zone_id, np.arange(start, start + n, dtype=np.int64)
-        )
-        # Mirror the scalar command's flash accounting exactly: the sense
-        # side is silent (device-internal) and the program side books as
-        # programs at the flash.nand layer; the copy is counted once here
-        # at the command layer.
-        self.nand.sense_for_copy_batch(src_pages)
-        try:
-            self.nand.program_batch(dst_pages)
-        except ProgramFaultError:
-            # Pre-mutation batch fault: destination untouched, retryable.
-            self._revert_implicit_open(dst, pre_open_state)
-            raise
-        old_state = dst.state
-        dst.advance(n)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "zns.device", "copy",
-                    block=int(dst_pages[0]) // self.geometry.flash.pages_per_block,
-                    count=n, nbytes=n * self.page_size,
-                )
-            )
-        if dst.state is ZoneState.FULL:
-            self._note_no_longer_open(dst_zone_id)
-            self._publish_transition(dst, old_state, "write-full")
-        return start
 
 
 class TimedZNSDevice:

@@ -153,3 +153,43 @@ class TestWritePagesParity:
             ftl.write_pages(np.array([-1], dtype=np.int64))
         with pytest.raises(ValueError):
             ftl.write_pages(np.array([0], dtype=np.int64), stream=5)
+
+
+class TestTimedBatchParity:
+    """``write_pages_timed`` against ``write_pages``, ``read_pages`` against ``read``."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lpns=st.lists(
+            st.integers(min_value=0, max_value=LOGICAL - 1), min_size=1, max_size=200
+        )
+    )
+    def test_timed_writes_match_write_pages(self, lpns):
+        timed = make_ftl("greedy")
+        plain = make_ftl("greedy")
+        for ftl in (timed, plain):
+            ftl.write_pages(np.arange(LOGICAL, dtype=np.int64))
+        arr = np.asarray(lpns, dtype=np.int64)
+        service = timed.write_pages_timed(arr)
+        plain.write_pages(arr)
+        assert full_state(timed) == full_state(plain)
+        # Every page pays at least its host program.
+        program_us = timed.nand.timing.program_total_us(timed.geometry.page_size)
+        assert service.shape == (len(lpns),)
+        assert service.min() >= program_us
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        lpns=st.lists(
+            st.integers(min_value=0, max_value=LOGICAL - 1), min_size=1, max_size=40
+        )
+    )
+    def test_read_pages_match_scalar_reads(self, lpns):
+        scalar = make_ftl("greedy")
+        batched = make_ftl("greedy")
+        for ftl in (scalar, batched):
+            ftl.write_pages(np.arange(LOGICAL, dtype=np.int64))
+        want = [scalar.read(lpn).latency_us for lpn in lpns]
+        got = batched.read_pages(np.asarray(lpns, dtype=np.int64))
+        assert got.tolist() == pytest.approx(want)
+        assert full_state(scalar) == full_state(batched)

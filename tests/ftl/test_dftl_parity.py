@@ -12,7 +12,6 @@ CMT budget alone, not to an accidentally different data path.
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,16 +182,17 @@ class TestSeededDeterminism:
 
 
 class TestEpochKernelModes:
-    """The epoch write path's physics must not depend on the kernel tier.
+    """The epoch write path against the per-lpn demand loop.
 
-    ``write_pages`` dispatches through :mod:`repro.sim.compiled`
-    (``cmt_probe_batch`` / ``cmt_evict_batch`` / the map kernels); with
-    numba monkeypatched off, the same epochs must land bit-identical
-    physics counters, TranslationEvent totals, and WA decomposition.
+    ``write_pages`` runs each epoch through :mod:`repro.sim.compiled`
+    (``cmt_probe_batch`` / ``cmt_evict_batch`` / the map kernels) with
+    one demand fetch per distinct translation page. Its liberty is
+    translation traffic only: host writes and the final mapping must
+    match ``write`` per lpn, and batching never adds translation writes.
     """
 
     @staticmethod
-    def _run_epochs(seed: int) -> dict:
+    def _run_epochs(seed: int, per_lpn: bool = False) -> dict:
         from repro.obs.frame import FrameSink
         from repro.obs.tracer import Tracer
 
@@ -211,12 +211,20 @@ class TestEpochKernelModes:
         )
         rng = make_rng(seed)
         n = dftl.logical_pages
-        dftl.write_pages(np.arange(n, dtype=np.int64))
+        epochs = [np.arange(n, dtype=np.int64)]
         for _ in range(6):
             epoch = rng.integers(0, n, size=int(rng.integers(1, 64)))
-            dftl.write_pages(epoch.astype(np.int64))
+            epochs.append(epoch.astype(np.int64))
+        for epoch in epochs:
+            if per_lpn:
+                for lpn in epoch.tolist():
+                    dftl.write(lpn)
+            else:
+                dftl.write_pages(epoch)
         decomp = dftl.wa_decomposition()
         return {
+            "mapped": (dftl.map.l2p >= 0).tolist(),
+            "translation_writes": dftl.store.stats.translation_writes,
             "physics": physics_state(dftl),
             "store": dataclasses.asdict(dftl.store.stats),
             "peak_resident_bytes": dftl.store.peak_resident_bytes,
@@ -230,14 +238,13 @@ class TestEpochKernelModes:
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
-    def test_dispatch_matches_forced_fallback(self, seed):
-        from repro.sim import compiled
-
-        dispatched = self._run_epochs(seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compiled, "USE_NUMBA", False)
-            fallback = self._run_epochs(seed)
-        assert dispatched == fallback
+    def test_epochs_match_per_lpn_writes(self, seed):
+        epochs = self._run_epochs(seed)
+        per_lpn = self._run_epochs(seed, per_lpn=True)
+        host_pages = [run["physics"]["stats"]["host_pages_written"] for run in (epochs, per_lpn)]
+        assert host_pages[0] == host_pages[1]
+        assert epochs["mapped"] == per_lpn["mapped"]
+        assert epochs["translation_writes"] <= per_lpn["translation_writes"]
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)

@@ -1,16 +1,17 @@
-"""Parity suite for the epoch-compiled kernels (:mod:`repro.sim.compiled`).
+"""Parity suite for the array kernels (:mod:`repro.sim.compiled`).
 
 The contract under test is *state identity*: every kernel must leave the
 mapping/flash/zone state bit-for-bit equal to the interpreted scalar
-path it replaces, over randomized operation sequences, both with the
-numba fast path enabled (when numba is installed) and with numba
-monkeypatched absent. On a numba-less environment the enabled leg
-degrades to the numpy fallbacks, so the suite stays meaningful either
-way -- and CI runs it as-is on both kinds of runner.
+path it replaces, over randomized operation sequences. The scalar
+oracles are the per-page loops below, written in the order a scalar
+device applies its updates. Each parity test runs in two legs (see
+``kernel_mode``): once as the device stack calls the kernels, and once
+with every kernel call, wherever the stack makes it, re-checked against
+its scalar oracle.
 """
 
-import importlib
-import sys
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
-from repro.ftl.mapping import UNMAPPED, PageMap
+from repro.ftl.mapping import UNMAPPED, FullPageMap
 from repro.sim import compiled
 from repro.zns.device import ZNSDevice
 
@@ -28,23 +29,170 @@ GEOMETRY = FlashGeometry.small()
 PPB = GEOMETRY.pages_per_block
 
 
-def force_numpy_fallback(monkeypatch):
-    monkeypatch.setattr(compiled, "USE_NUMBA", False)
+def map_batch_loop(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
+    """Scalar oracle for ``map_batch_apply``: ``FullPageMap.map`` x n."""
+    delta = 0
+    for i in range(lpns.shape[0]):
+        lpn = lpns[i]
+        ppn = ppns[i]
+        prev = l2p[lpn]
+        if prev != UNMAPPED:
+            p2l[prev] = UNMAPPED
+            valid_counts[prev // ppb] -= 1
+            if valid_counts[prev // ppb] < 0:
+                raise ValueError("valid count went negative in map batch")
+        else:
+            delta += 1
+        l2p[lpn] = ppn
+        p2l[ppn] = lpn
+        valid_counts[block] += 1
+    return delta
+
+
+def relocate_run_loop(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
+    """Scalar oracle for ``relocate_run_apply``: ``FullPageMap.relocate`` x n."""
+    for i in range(src_pages.shape[0]):
+        src = src_pages[i]
+        lpn = p2l[src]
+        if lpn == UNMAPPED:
+            raise ValueError("relocate of invalid physical page")
+        p2l[src] = UNMAPPED
+        valid_counts[src_block] -= 1
+        dst = dst_first + i
+        l2p[lpn] = dst
+        p2l[dst] = lpn
+        valid_counts[dst_block] += 1
+
+
+def cmt_probe_loop(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp):
+    """Scalar oracle for ``cmt_probe_batch``: one hit group at a time.
+
+    Each consumed hit group dirties its slot and advances the LRU stamp
+    by the group's access count (one access plus count-1 immediate
+    same-page hits), landing the slot on the group's last stamp. Stops
+    at the first group whose translation page is not cached.
+    """
+    consumed = 0
+    while start + consumed < tvpns.shape[0]:
+        slot = tvpn_slot[tvpns[start + consumed]]
+        if slot < 0:
+            break
+        k = counts[start + consumed]
+        slot_dirty[slot] = 1
+        slot_stamp[slot] = stamp + k - 1
+        stamp += k
+        consumed += 1
+    return consumed, stamp
+
+
+def cmt_evict_loop(slot_tvpn, slot_dirty, slot_stamp):
+    """Scalar oracle for ``cmt_evict_batch``: walk slots oldest stamp first."""
+    order = np.argsort(slot_stamp)
+    out = np.empty(slot_tvpn.shape[0], dtype=np.int64)
+    count = 0
+    for j in range(order.shape[0]):
+        s = order[j]
+        if slot_tvpn[s] >= 0 and slot_dirty[s] != 0:
+            out[count] = slot_tvpn[s]
+            slot_dirty[s] = 0
+            count += 1
+    return out[:count]
+
+
+def stripe_layout_loop(wp, n, width, ppb):
+    """Scalar oracle for ``stripe_layout``: stripe the run page by page."""
+    if n < 1:
+        raise ValueError("stripe run must cover at least one page")
+    per_lane: dict[int, list[int]] = {}
+    for j in range(wp, wp + n):
+        per_lane.setdefault(j % width, []).append(j // width)
+    if (wp + n - 1) // width >= ppb:
+        raise IndexError(f"append run [{wp}, {wp + n}) exceeds {width} blocks of {ppb} pages")
+    lanes = sorted(per_lane)
+    return (
+        np.array(lanes, dtype=np.int64),
+        np.array([per_lane[lane][0] for lane in lanes], dtype=np.int64),
+        np.array([len(per_lane[lane]) for lane in lanes], dtype=np.int64),
+    )
+
+
+#: Every kernel in :mod:`repro.sim.compiled` with its scalar oracle.
+ORACLES = {
+    "map_batch_apply": map_batch_loop,
+    "relocate_run_apply": relocate_run_loop,
+    "cmt_probe_batch": cmt_probe_loop,
+    "cmt_evict_batch": cmt_evict_loop,
+    "stripe_layout": stripe_layout_loop,
+}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _shadowed(name, kernel, oracle, calls: Counter):
+    """``kernel`` re-checked against ``oracle`` on copies of its arguments.
+
+    Same return value, same in-place array mutations, and the same
+    exception type when the oracle rejects the call.
+    """
+
+    def run(*args):
+        calls[name] += 1
+        copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+        try:
+            want = oracle(*copies)
+        except (ValueError, IndexError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                kernel(*args)
+            raise raised.value
+        got = kernel(*args)
+        assert _same(got, want), f"{name} returned {got!r}, its oracle {want!r}"
+        for i, (arg, copy) in enumerate(zip(args, copies)):
+            if isinstance(arg, np.ndarray):
+                assert np.array_equal(arg, copy), f"{name} argument {i} diverged"
+        return got
+
+    return run
+
+
+@dataclass
+class KernelMode:
+    name: str
+    calls: Counter = field(default_factory=Counter)
+
+    @property
+    def shadowed(self) -> bool:
+        return self.name == "numpy-fallback"
 
 
 @pytest.fixture(params=["dispatch", "numpy-fallback"])
 def kernel_mode(request, monkeypatch):
-    """Run each parity test twice: normal dispatch and forced fallback."""
-    if request.param == "numpy-fallback":
-        force_numpy_fallback(monkeypatch)
-    return request.param
+    """Run each parity test twice over the numpy kernels.
+
+    ``dispatch`` runs them exactly as the device stack calls them.
+    ``numpy-fallback`` re-checks every kernel call against its scalar
+    oracle (:data:`ORACLES`) and counts the calls in ``calls``. The leg
+    ids predate the single numpy tier and are kept so test names stay
+    stable.
+    """
+    mode = KernelMode(request.param)
+    if mode.shadowed:
+        for name, oracle in ORACLES.items():
+            kernel = getattr(compiled, name)
+            monkeypatch.setattr(compiled, name, _shadowed(name, kernel, oracle, mode.calls))
+    return mode
 
 
-def map_states(m: PageMap):
+def map_states(m: FullPageMap):
     return (m.l2p.copy(), m.p2l.copy(), m.valid_counts.copy(), m.mapped_pages)
 
 
-def assert_maps_equal(a: PageMap, b: PageMap):
+def assert_maps_equal(a: FullPageMap, b: FullPageMap):
     sa, sb = map_states(a), map_states(b)
     assert np.array_equal(sa[0], sb[0]), "l2p diverged"
     assert np.array_equal(sa[1], sb[1]), "p2l diverged"
@@ -55,36 +203,6 @@ def assert_maps_equal(a: PageMap, b: PageMap):
 class TestModuleFlags:
     def test_unmapped_sentinel_matches_mapping_module(self):
         assert compiled.UNMAPPED == UNMAPPED
-
-    def test_enabled_reflects_use_numba(self, monkeypatch):
-        monkeypatch.setattr(compiled, "USE_NUMBA", False)
-        assert not compiled.enabled()
-
-    def test_env_knob_disables_numba(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "off")
-        assert compiled._load_numba() is None
-
-    def test_reload_with_numba_monkeypatched_absent(self, monkeypatch):
-        """The module must import cleanly when numba cannot be imported."""
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        fresh = importlib.reload(compiled)
-        try:
-            assert not fresh.NUMBA_AVAILABLE
-            assert not fresh.enabled()
-            l2p = np.full(8, UNMAPPED, dtype=np.int64)
-            p2l = np.full(GEOMETRY.total_pages, UNMAPPED, dtype=np.int64)
-            counts = np.zeros(GEOMETRY.total_blocks, dtype=np.int32)
-            delta = fresh.map_batch_apply(
-                l2p, p2l, counts,
-                np.array([1, 3, 1], dtype=np.int64),
-                np.array([0, 1, 2], dtype=np.int64),
-                0, PPB,
-            )
-            assert delta == 2
-            assert l2p[1] == 2 and l2p[3] == 1
-        finally:
-            importlib.reload(compiled)
 
 
 class TestMapBatchParity:
@@ -97,31 +215,49 @@ class TestMapBatchParity:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_scalar_map_loop(self, kernel_mode, lpns, premap, seed):
         rng = np.random.default_rng(seed)
-        scalar = PageMap(GEOMETRY, 64)
-        batched = PageMap(GEOMETRY, 64)
-        # Pre-populate both maps identically from a different block so the
+        scalar = FullPageMap(GEOMETRY, 64)
+        batched = FullPageMap(GEOMETRY, 64)
+        oracle = FullPageMap(GEOMETRY, 64)
+        kernel = FullPageMap(GEOMETRY, 64)
+        maps = (scalar, batched, oracle, kernel)
+        # Pre-populate every map identically from a different block so the
         # batch can invalidate cross-block prior mappings.
         pre_block = 1
         pre_lpns = rng.choice(64, size=premap * 4, replace=False) if premap else []
         for i, lpn in enumerate(pre_lpns):
-            scalar.map(int(lpn), pre_block * PPB + i)
-            batched.map(int(lpn), pre_block * PPB + i)
+            for m in maps:
+                m.map(int(lpn), pre_block * PPB + i)
         ppns = np.arange(2 * PPB, 2 * PPB + len(lpns), dtype=np.int64)
         arr = np.asarray(lpns, dtype=np.int64)
         for lpn, ppn in zip(arr.tolist(), ppns.tolist()):
             scalar.map(lpn, ppn)
         batched.map_batch(arr, ppns)
         assert_maps_equal(scalar, batched)
+        # The kernel itself, below map_batch's short-batch scalar cutoff.
+        want = map_batch_loop(oracle.l2p, oracle.p2l, oracle.valid_counts, arr, ppns, 2, PPB)
+        got = compiled.map_batch_apply(
+            kernel.l2p, kernel.p2l, kernel.valid_counts, arr, ppns, 2, PPB
+        )
+        assert got == want
+        oracle.mapped_pages += want
+        kernel.mapped_pages += got
+        assert_maps_equal(oracle, kernel)
+        assert_maps_equal(scalar, kernel)
 
     def test_negative_valid_count_raises(self, kernel_mode):
-        m = PageMap(GEOMETRY, 16)
-        m.map(0, 5)
-        m.valid_counts[0] = 0  # corrupt: the remap below must detect it
-        with pytest.raises(ValueError, match="negative"):
-            m.map_batch(
-                np.array([0, 1], dtype=np.int64),
-                np.array([PPB, PPB + 1], dtype=np.int64),
-            )
+        # Both sides of map_batch's short-batch cutoff: the scalar map
+        # loop and the numpy kernel must each detect the corruption.
+        for n in (2, 17):
+            m = FullPageMap(GEOMETRY, 32)
+            m.map(0, 5)
+            m.valid_counts[0] = 0  # corrupt: the remap below must detect it
+            with pytest.raises(ValueError, match="negative"):
+                m.map_batch(
+                    np.arange(n, dtype=np.int64),
+                    np.arange(PPB, PPB + n, dtype=np.int64),
+                )
+        if kernel_mode.shadowed:
+            assert kernel_mode.calls["map_batch_apply"] == 1
 
 
 class TestRelocateRunParity:
@@ -133,25 +269,32 @@ class TestRelocateRunParity:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_scalar_relocate_loop(self, kernel_mode, nvalid, seed):
         rng = np.random.default_rng(seed)
-        scalar = PageMap(GEOMETRY, PPB)
-        run = PageMap(GEOMETRY, PPB)
+        scalar = FullPageMap(GEOMETRY, PPB)
+        run = FullPageMap(GEOMETRY, PPB)
+        oracle = FullPageMap(GEOMETRY, PPB)
         src_offsets = np.sort(rng.choice(PPB, size=nvalid, replace=False))
         src_block, dst_block = 0, 3
         for i, off in enumerate(src_offsets.tolist()):
-            scalar.map(i, src_block * PPB + off)
-            run.map(i, src_block * PPB + off)
+            for m in (scalar, run, oracle):
+                m.map(i, src_block * PPB + off)
         src_pages = src_block * PPB + src_offsets.astype(np.int64)
         dst_first = dst_block * PPB
         for i, src in enumerate(src_pages.tolist()):
             scalar.relocate(src, dst_first + i)
         run.relocate_run(src_pages, dst_first)
+        relocate_run_loop(
+            oracle.l2p, oracle.p2l, oracle.valid_counts, src_pages, dst_first, src_block, dst_block
+        )
         assert_maps_equal(scalar, run)
+        assert_maps_equal(oracle, run)
 
     def test_invalid_source_raises(self, kernel_mode):
-        m = PageMap(GEOMETRY, 8)
+        m = FullPageMap(GEOMETRY, 8)
         m.map(0, 0)
         with pytest.raises(ValueError, match="invalid physical page"):
             m.relocate_run(np.array([0, 1], dtype=np.int64), 3 * PPB)
+        if kernel_mode.shadowed:
+            assert kernel_mode.calls["relocate_run_apply"] == 1
 
 
 class TestCopyRunParity:
@@ -162,16 +305,16 @@ class TestCopyRunParity:
 
     @given(nsrc=st.integers(1, PPB), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_matches_copy_batch(self, nsrc, seed):
+    def test_matches_copy_page_loop(self, nsrc, seed):
         rng = np.random.default_rng(seed)
         src = np.sort(rng.choice(PPB, size=nsrc, replace=False)).astype(np.int64)
         a, b = self._programmed_nand(), self._programmed_nand()
         dst_block = 2
-        dst = dst_block * PPB + np.arange(nsrc, dtype=np.int64)
-        lat_a = a.copy_batch(src, dst)
+        lat_a = sum(a.copy_page(s, dst_block * PPB + i) for i, s in enumerate(src.tolist()))
         lat_b = b.copy_run(src, dst_block, 0)
-        assert lat_a == lat_b
+        assert lat_a == pytest.approx(lat_b)
         assert np.array_equal(a.write_offsets, b.write_offsets)
+        assert a.reads_since_erase(0) == b.reads_since_erase(0)
         assert a.counters.copies == b.counters.copies
         assert a.counters.bytes_copied == b.counters.bytes_copied
 
@@ -254,6 +397,9 @@ class TestFTLEpochParity:
         assert np.array_equal(scalar._oob_serial, batched._oob_serial)
         scalar.check_invariants()
         batched.check_invariants()
+        if kernel_mode.shadowed:
+            assert kernel_mode.calls["map_batch_apply"] > 0
+            assert kernel_mode.calls["relocate_run_apply"] > 0
 
 
 @st.composite
@@ -303,6 +449,8 @@ class TestZnsEpochParity:
         assert ref.counters.writes == epoch.counters.writes
         assert ref.counters.bytes_written == epoch.counters.bytes_written
         assert ref.nand.counters.writes == epoch.nand.counters.writes
+        if kernel_mode.shadowed:
+            assert kernel_mode.calls["stripe_layout"] > 0
 
     def test_empty_epoch_is_a_no_op(self, kernel_mode):
         device = ZNSDevice(ZonedGeometry(flash=GEOMETRY, blocks_per_zone=2))
@@ -311,6 +459,7 @@ class TestZnsEpochParity:
         )
         assert out.size == 0
         assert device.counters.writes == 0
+        assert not kernel_mode.calls
 
 
 def _random_cmt(rng, capacity: int, ntvpns: int):
@@ -339,9 +488,7 @@ class TestCmtProbeParity:
     )
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_scalar_probe_loop(
-        self, kernel_mode, capacity, ntvpns, ngroups, seed
-    ):
+    def test_matches_scalar_probe_loop(self, kernel_mode, capacity, ntvpns, ngroups, seed):
         rng = np.random.default_rng(seed)
         tvpn_slot, _slot_tvpn, slot_dirty, slot_stamp = _random_cmt(
             rng, capacity, ntvpns
@@ -355,9 +502,8 @@ class TestCmtProbeParity:
 
         ref_slot_dirty = slot_dirty.copy()
         ref_slot_stamp = slot_stamp.copy()
-        ref_consumed, ref_stamp = compiled._cmt_probe_loop(
-            tvpn_slot.copy(), ref_slot_dirty, ref_slot_stamp,
-            tvpns, counts, start, stamp,
+        ref_consumed, ref_stamp = cmt_probe_loop(
+            tvpn_slot.copy(), ref_slot_dirty, ref_slot_stamp, tvpns, counts, start, stamp
         )
         consumed, next_stamp = compiled.cmt_probe_batch(
             tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp
@@ -377,6 +523,8 @@ class TestCmtProbeParity:
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0, 7,
         )
         assert (consumed, stamp) == (0, 7)
+        if kernel_mode.shadowed:
+            assert kernel_mode.calls["cmt_probe_batch"] == 1
 
 
 class TestCmtEvictParity:
@@ -393,7 +541,7 @@ class TestCmtEvictParity:
             rng, capacity, ntvpns
         )
         ref_dirty = slot_dirty.copy()
-        ref = compiled._cmt_evict_loop(slot_tvpn.copy(), ref_dirty, slot_stamp.copy())
+        ref = cmt_evict_loop(slot_tvpn.copy(), ref_dirty, slot_stamp.copy())
         got = compiled.cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp)
         assert got.tolist() == ref.tolist()
         assert np.array_equal(slot_dirty, ref_dirty), "dirty bits diverged"
