@@ -13,6 +13,7 @@ extra device WA underneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any
 
 from repro.apps.lsm.memtable import TOMBSTONE
@@ -133,7 +134,7 @@ class LeveledCompaction:
         for table in sorted(task.inputs_upper, key=lambda t: t.table_id):
             for key, value in table.entries:
                 merged[key] = value
-        items = sorted(merged.items(), key=lambda kv: kv[0])
+        items = sorted(merged.items(), key=itemgetter(0))
         if bottom_level:
             items = [(k, v) for k, v in items if v is not TOMBSTONE]
         if not items:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,7 +47,7 @@ class SSTable:
         if not self.entries:
             raise ValueError("SSTable cannot be empty")
         keys = [k for k, _ in self.entries]
-        if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
+        if not all(map(operator.lt, keys, itertools.islice(keys, 1, None))):
             raise ValueError("SSTable entries must be strictly sorted by key")
         self._keys = keys
         # Per-table bloom filter: negative point lookups skip the flash

@@ -104,6 +104,13 @@ class LSMStore:
         self._wal_entries_pending = 0
         self._wal_unsynced: list[tuple[Any, Any]] = []
         self._wal_logged: list[tuple[Any, Any]] = []
+        self._wal_entries_per_page = max(backend.page_size // self.config.entry_bytes, 1)
+        # Flush once the memtable's entries fill ``memtable_pages`` pages
+        # under the entry-size model that sizes SSTables, so the flush
+        # threshold and the flushed file agree.
+        self._flush_entries = -(
+            -self.config.memtable_pages * backend.page_size // self.config.entry_bytes
+        )
         self.compaction = LeveledCompaction(
             l0_limit=self.config.l0_limit,
             level0_pages=self.config.level0_pages,
@@ -142,8 +149,7 @@ class LSMStore:
             return
         self._wal_unsynced.append((key, value))
         self._wal_entries_pending += 1
-        entries_per_page = max(self.backend.page_size // self.config.entry_bytes, 1)
-        if self._wal_entries_pending >= entries_per_page:
+        if self._wal_entries_pending >= self._wal_entries_per_page:
             self.backend.append_wal_page()
             self.stats.wal_pages += 1
             self._wal_entries_pending = 0
@@ -177,13 +183,14 @@ class LSMStore:
 
         Search order: memtable, then L0 newest-first, then one candidate
         table per deeper level. Each table probe that reaches flash does a
-        real backend page read.
+        real backend page read. L0 is kept oldest-first (flush appends,
+        compaction drains it whole), so newest-first is its reverse.
         """
         self.stats.gets += 1
         present, value = self.memtable.get(key)
         if present:
             return None if value is TOMBSTONE else value
-        for table in sorted(self.levels[0], key=lambda t: -t.table_id):
+        for table in reversed(self.levels[0]):
             if not table.overlaps_range(key, key):
                 continue
             if not table.might_contain(key):
@@ -226,7 +233,7 @@ class LSMStore:
                 self._charge_scan_pages(table, lo, hi)
                 for k, v in table.range_slice(lo, hi):
                     merged[k] = v
-        for table in sorted(self.levels[0], key=lambda t: t.table_id):
+        for table in self.levels[0]:
             if not table.overlaps_range(lo, hi):
                 continue
             self._charge_scan_pages(table, lo, hi)
@@ -251,7 +258,7 @@ class LSMStore:
             for table in self.levels[level]:
                 for k, v in table.entries:
                     view[k] = v
-        for table in sorted(self.levels[0], key=lambda t: t.table_id):
+        for table in self.levels[0]:
             for k, v in table.entries:
                 view[k] = v
         for k, v in self.memtable.sorted_items():
@@ -260,14 +267,8 @@ class LSMStore:
 
     # -- Flush and compaction ----------------------------------------------------
 
-    @property
-    def _memtable_pages(self) -> int:
-        # Sized with the same encoding model used for SSTables so the
-        # flush threshold and the flushed file agree.
-        return len(self.memtable) * self.config.entry_bytes // self.backend.page_size
-
     def _maybe_flush(self) -> None:
-        if self._memtable_pages >= self.config.memtable_pages:
+        if len(self.memtable) >= self._flush_entries:
             self.flush()
 
     def flush(self) -> None:

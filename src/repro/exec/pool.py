@@ -46,7 +46,12 @@ from typing import Any, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.errors import ErrorResult, backoff_delay, error_payload
-from repro.exec.profiling import PROFILE_ENV, profiled_call, profiling_requested
+from repro.exec.profiling import (
+    PROFILE_ENV,
+    merge_layer_tables,
+    profiled_call,
+    profiling_requested,
+)
 from repro.exec.progress import NullReporter, ProgressReporter
 from repro.experiments.base import ExperimentConfig, ExperimentResult
 
@@ -65,6 +70,15 @@ def _config_hash(config: ExperimentConfig) -> str:
 # -- Worker entry points (must be importable module-level functions) ------------
 
 
+def _attach_profile(result: ExperimentResult, profile: dict) -> None:
+    """Fold one whole-run profile into the result's metrics."""
+    result.metrics = {
+        **result.metrics,
+        "profile": profile["entries"],
+        "profile_layers": profile["layers"],
+    }
+
+
 def _worker_run(config_payload: dict) -> dict:
     """Run one whole experiment in a worker; dicts in, dicts out.
 
@@ -77,8 +91,8 @@ def _worker_run(config_payload: dict) -> dict:
         config = ExperimentConfig.from_dict(config_payload)
         run = _module_for(config.experiment_id).run
         if profiling_requested():
-            result, entries = profiled_call(run, config)
-            result.metrics = {**result.metrics, "profile": entries}
+            result, profile = profiled_call(run, config)
+            _attach_profile(result, profile)
             return result.to_dict()
         return run(config).to_dict()
     except Exception as exc:
@@ -95,8 +109,8 @@ def _worker_point(module_name: str, point_kwargs: dict) -> dict:
     try:
         module = importlib.import_module(module_name)
         if profiling_requested():
-            row, entries = profiled_call(module.SWEEP.point, **point_kwargs)
-            return {"__row__": row, "__profile__": entries}
+            row, profile = profiled_call(module.SWEEP.point, **point_kwargs)
+            return {"__row__": row, "__profile__": profile}
         return module.SWEEP.point(**point_kwargs)
     except Exception as exc:
         return error_payload(exc)
@@ -295,8 +309,8 @@ class Executor:
                 attempts += 1
                 try:
                     if self.profile:
-                        result, entries = profiled_call(run, config)
-                        result.metrics = {**result.metrics, "profile": entries}
+                        result, profile = profiled_call(run, config)
+                        _attach_profile(result, profile)
                     else:
                         result = run(config)
                     error = None
@@ -475,9 +489,12 @@ class Executor:
             result.metrics = {
                 **result.metrics,
                 "profile": [
-                    {"point": i, "entries": entries}
-                    for i, entries in enumerate(profiles)
+                    {"point": i, **(profile or {"entries": None, "layers": None})}
+                    for i, profile in enumerate(profiles)
                 ],
+                "profile_layers": merge_layer_tables(
+                    [profile["layers"] for profile in profiles if profile]
+                ),
             }
         if errors:
             result.metrics = {

@@ -130,9 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--profile",
         action="store_true",
-        help="capture a cProfile top-30 (cumulative time) per experiment "
-        "into the result metrics; with --jobs, each worker profiles its "
-        "own unit of work independently (implies --no-cache)",
+        help="capture a cProfile top-30 (cumulative time) and a per-layer "
+        "self-time table (profile_layers) per experiment into the result "
+        "metrics; with --jobs, each worker profiles its own unit of work "
+        "independently (implies --no-cache)",
     )
     run_parser.add_argument(
         "--timeout",

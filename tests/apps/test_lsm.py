@@ -46,14 +46,6 @@ class TestMemTable:
             mt.put(k, k)
         assert [k for k, _ in mt.sorted_items()] == ["a", "b", "c"]
 
-    def test_bytes_track_overwrites(self):
-        mt = MemTable()
-        mt.put("k", "x" * 100)
-        big = mt.approximate_bytes
-        mt.put("k", "x")
-        assert mt.approximate_bytes < big
-        assert len(mt) == 1
-
 
 class TestSSTable:
     def test_requires_sorted_unique(self):
@@ -192,6 +184,30 @@ class TestStoreCorrectness:
                 store.put(k, i)
                 live.add(k)
         assert store.scan_count() == len(live)
+
+    @settings(max_examples=15, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["put", "delete", "flush", "crash"]),
+                  st.integers(0, 400), st.integers(0, 1000)),
+        max_size=600,
+    ))
+    def test_l0_stays_in_flush_order(self, ops):
+        """``get`` reads L0 newest-first by walking it backwards, and
+        ``scan`` oldest-first by walking it forwards, so L0 must stay in
+        ascending table_id order across flushes, compactions and crashes."""
+        store = ram_store()
+        for op, key, value in ops:
+            if op == "put":
+                store.put(key, value)
+            elif op == "delete":
+                store.delete(key)
+            elif op == "flush":
+                store.flush()
+            else:
+                store.crash_and_recover()
+            ids = [t.table_id for t in store.levels[0]]
+            assert ids == sorted(ids)
+            assert len(ids) < store.config.l0_limit
 
     def test_wal_pages_written(self):
         store = ram_store()

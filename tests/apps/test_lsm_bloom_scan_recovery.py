@@ -1,5 +1,7 @@
 """Tests for LSM bloom filters, range scans, and crash recovery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,57 @@ def ram_store(cfg=SMALL_CFG):
     return LSMStore(BlockFileBackend(RamDisk(1 << 14), trim_on_delete=True), cfg)
 
 
+def scalar_bloom_bits(keys, fp_rate=0.01) -> bytes:
+    """Parity oracle: the filter bits set one key and one probe at a time.
+
+    Probe ``i`` of a key is ``(h1 + i * h2) % m`` over Python ints, with
+    ``h1``/``h2`` the little-endian halves of its 16-byte blake2b digest
+    and ``h2`` forced odd.
+    """
+    sizing = BloomFilter(expected_items=max(len(keys), 1), fp_rate=fp_rate)
+    m = sizing.num_bits
+    bits = bytearray(len(sizing.bits))
+    for key in keys:
+        digest = hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little") | 1
+        for i in range(sizing.num_hashes):
+            pos = (h1 + i * h2) % m
+            bits[pos >> 3] |= 1 << (pos & 7)
+    return bytes(bits)
+
+
+BLOOM_KEYS = st.one_of(
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.tuples(st.integers(-5, 5), st.text(max_size=4)),
+)
+
+
 class TestBloomFilter:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(BLOOM_KEYS, min_size=1, max_size=300),
+        dup=st.integers(0, 3),
+        fp_rate=st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5]),
+    )
+    def test_build_matches_scalar_oracle(self, keys, dup, fp_rate):
+        keys = keys + keys[:dup]  # duplicates set the same bits again
+        bloom = BloomFilter.build(keys, fp_rate=fp_rate)
+        assert bloom.bits == scalar_bloom_bits(keys, fp_rate)
+        assert all(bloom.might_contain(k) for k in keys)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1),
+           fp_rate=st.sampled_from([0.01, 0.1]))
+    def test_build_matches_scalar_oracle_at_table_sizes(self, n, seed, fp_rate):
+        rng = np.random.default_rng(seed)
+        keys = [int(k) for k in rng.integers(-(2**63), 2**63 - 1, size=n)]
+        keys += [2**64 + k for k in keys[:10]]  # beyond uint64
+        bloom = BloomFilter.build(keys, fp_rate=fp_rate)
+        assert bloom.bits == scalar_bloom_bits(keys, fp_rate)
+
     def test_no_false_negatives(self):
         bloom = BloomFilter.build(list(range(1000)))
         assert all(bloom.might_contain(k) for k in range(1000))
@@ -47,7 +99,8 @@ class TestBloomFilter:
 
     def test_empty_build(self):
         bloom = BloomFilter.build([])
-        assert not bloom.might_contain("anything")  # overwhelmingly likely
+        assert bloom.bits == scalar_bloom_bits([]) == bytes(len(bloom.bits))
+        assert not any(bloom.might_contain(k) for k in ("anything", 0, b"", ()))
 
 
 class TestBloomInStore:
